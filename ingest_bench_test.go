@@ -5,8 +5,9 @@
 // chain immediately after the epoch swap. Before any timing the live engine
 // is asserted byte-identical to one cold BuildDatasetFromRecords+Enrich over
 // the union — the same equivalence-then-measure pattern as BenchmarkScanQuery
-// — and the INGESTSTAT line feeds the CI bench-smoke artifact
-// (BENCH_ingest.json) the same way SCANSTAT and SERVESTAT do.
+// — and the apply must then beat the cold rebuild at least 5x. The
+// INGESTSTAT line feeds the CI bench-smoke artifact (BENCH_ingest.json) the
+// same way SCANSTAT and SERVESTAT do.
 package marketscope_test
 
 import (
@@ -161,6 +162,15 @@ func BenchmarkIngestAppend(b *testing.B) {
 		}
 	}
 
+	// Speedup floor: each batch re-resolves every prior app from its cached
+	// candidates rather than re-hashing its code, so the delta apply must
+	// beat the cold rebuild by a wide margin.
+	const minApplySpeedup = 5
+	applySpeedup := float64(coldDur) / float64(applyDur)
+	if applySpeedup < minApplySpeedup {
+		b.Fatalf("delta apply %v is only %.1fx faster than the cold rebuild %v, want >= %dx", applyDur, applySpeedup, coldDur, minApplySpeedup)
+	}
+
 	// Post-swap serving latency: the first query after the swap pays the cold
 	// compute into the purged cache, repeats are hits against the new epoch.
 	body, err := json.Marshal(scanBenchQueries()[0].q)
@@ -191,7 +201,7 @@ func BenchmarkIngestAppend(b *testing.B) {
 	printOnce("ingest-append", fmt.Sprintf(
 		"INGESTSTAT base_rows=%d delta_rows=%d apply_ms=%.1f cold_build_ms=%.1f apply_speedup=%.1f sealed=%d redetected=%d epoch=%d postswap_miss_us=%d postswap_hit_p50_us=%d identical=1",
 		len(base), deltaRows, float64(applyDur.Microseconds())/1000,
-		float64(coldDur.Microseconds())/1000, float64(coldDur)/float64(applyDur),
+		float64(coldDur.Microseconds())/1000, applySpeedup,
 		sealed, res.Redetected, srv.Epoch(),
 		missDur.Microseconds(), durQuantile(hitSamples, 0.50).Microseconds()))
 

@@ -48,6 +48,12 @@ type App struct {
 	Libraries []libdetect.Detection
 	AVReport  *avscan.Report
 	PermUsage *permissions.Usage
+
+	// prepared is the archive-pure half of the library detection, set when
+	// the listing is first enriched. A later ingest epoch re-resolves it
+	// against its grown feature DB instead of re-hashing the code; shallow
+	// copies share it.
+	prepared *libdetect.Prepared
 }
 
 // HasAPK reports whether the listing's APK was parsed successfully.
@@ -297,21 +303,23 @@ func (d *Dataset) enrich(opts EnrichOptions) {
 }
 
 // enrichSerial is the reference implementation: two plain O(N) passes, kept
-// verbatim as the oracle the equivalence tests compare the worker pool
-// against.
+// as the oracle the equivalence tests compare the worker pool against.
 func (d *Dataset) enrichSerial(opts EnrichOptions) {
 	learnTracker := progressTracker(len(d.Apps), "learn", opts.Progress)
 	detectTracker := progressTracker(len(d.Apps), "detect", opts.Progress)
 
-	// Pass 1: learn the library feature database from the whole corpus.
+	// Pass 1: learn the library feature database from the whole corpus,
+	// keeping each listing's prepared candidates for pass 2.
+	preparer := libdetect.NewDetector(nil, nil)
 	db := libdetect.NewFeatureDB(opts.LibraryMinApps, opts.LibraryMinDevelopers)
 	for _, app := range d.Apps {
 		if app.HasAPK() {
-			db.Observe(app.Parsed.Dex, app.Meta.Package, app.Parsed.Developer())
+			app.prepared = preparer.Prepare(app.Parsed.Dex, app.Meta.Package)
+			db.ObservePrepared(app.prepared, app.Parsed.Developer())
 		}
 		learnTracker.Tick()
 	}
-	d.libDetector = libdetect.NewDetector(nil, db)
+	d.libDetector = libdetect.NewDetector(preparer.Catalog(), db)
 	d.scanner = avscan.NewScanner(opts.ScannerSeed, opts.Engines)
 	permAnalyzer := permissions.NewAnalyzer(nil)
 
@@ -324,7 +332,7 @@ func (d *Dataset) enrichSerial(opts EnrichOptions) {
 			detectTracker.Tick()
 			continue
 		}
-		app.Libraries = d.libDetector.Detect(app.Parsed.Dex, app.Meta.Package)
+		app.Libraries = d.libDetector.Resolve(app.prepared)
 		if report, ok := scanCache[app.Parsed.SHA256]; ok {
 			app.AVReport = report
 		} else {
@@ -347,20 +355,24 @@ func (d *Dataset) enrichParallel(opts EnrichOptions) {
 	learnTracker := progressTracker(len(d.Apps), "learn", opts.Progress)
 	detectTracker := progressTracker(len(d.Apps), "detect", opts.Progress)
 
-	// Pass 1: sharded map/merge over per-worker feature databases.
+	// Pass 1: sharded map/merge over per-worker feature databases; each
+	// listing's prepared candidates are written by the one worker that owns
+	// its index.
+	preparer := libdetect.NewDetector(nil, nil)
 	db := pipeline.MapMerge(len(d.Apps), opts.Workers,
 		func() *libdetect.FeatureDB {
 			return libdetect.NewFeatureDB(opts.LibraryMinApps, opts.LibraryMinDevelopers)
 		},
 		func(acc *libdetect.FeatureDB, i int) {
 			if app := d.Apps[i]; app.HasAPK() {
-				acc.Observe(app.Parsed.Dex, app.Meta.Package, app.Parsed.Developer())
+				app.prepared = preparer.Prepare(app.Parsed.Dex, app.Meta.Package)
+				acc.ObservePrepared(app.prepared, app.Parsed.Developer())
 			}
 			learnTracker.Tick()
 		},
 		func(dst, src *libdetect.FeatureDB) { dst.Merge(src) },
 	)
-	d.libDetector = libdetect.NewDetector(nil, db)
+	d.libDetector = libdetect.NewDetector(preparer.Catalog(), db)
 	d.scanner = avscan.NewScanner(opts.ScannerSeed, opts.Engines)
 	permAnalyzer := permissions.NewAnalyzer(nil)
 
@@ -375,7 +387,7 @@ func (d *Dataset) enrichParallel(opts EnrichOptions) {
 			detectTracker.Tick()
 			return
 		}
-		app.Libraries = d.libDetector.Detect(app.Parsed.Dex, app.Meta.Package)
+		app.Libraries = d.libDetector.Resolve(app.prepared)
 		app.AVReport = scanCache.Do(app.Parsed.SHA256, func() *avscan.Report {
 			return d.scanner.Scan(app.Parsed.SHA256, app.Parsed.Dex)
 		})

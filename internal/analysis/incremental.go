@@ -32,8 +32,11 @@ import (
 //     DB while its engine is still live.
 //   - Library detections do NOT carry over blindly: they depend on the whole
 //     corpus (threshold crossings, canonical-prefix flips), so every batch
-//     re-detects every previously ingested listing against the grown DB. A
-//     listing whose detections are unchanged keeps its exact *App pointer —
+//     re-resolves every previously ingested listing against the grown DB.
+//     It does so from the listing's cached, archive-pure candidates
+//     (libdetect.Detector.Prepare, computed once at first appearance), so
+//     the per-listing cost is a few map lookups, not a re-hash of its code.
+//     A listing whose detections are unchanged keeps its exact *App pointer —
 //     no write ever lands on an App a live engine is serving — and when
 //     nothing changed, the new epoch's engine is sealed from the previous
 //     one's columns via query.NewEngineAppend instead of re-extracting the
@@ -42,8 +45,11 @@ type IngestState struct {
 	opts EnrichOptions
 	// db accumulates the feature observations of every listing ingested so
 	// far; replaced copy-on-write by each Append.
-	db      *libdetect.FeatureDB
-	scanner *avscan.Scanner
+	db *libdetect.FeatureDB
+	// preparer computes the archive-pure half of each listing's library
+	// detection (no feature DB); every epoch's detector shares its catalog.
+	preparer *libdetect.Detector
+	scanner  *avscan.Scanner
 	// scans caches AV reports by archive SHA-256 across batches: a verdict
 	// is a pure function of (seed, engine pool, sample), so re-listings of
 	// an already-scanned archive reuse the epoch-independent report. Written
@@ -60,10 +66,11 @@ func NewIngestState(opts EnrichOptions) *IngestState {
 		opts.Engines = avscan.DefaultEngineCount
 	}
 	return &IngestState{
-		opts:    opts,
-		db:      libdetect.NewFeatureDB(opts.LibraryMinApps, opts.LibraryMinDevelopers),
-		scanner: avscan.NewScanner(opts.ScannerSeed, opts.Engines),
-		scans:   map[string]*avscan.Report{},
+		opts:     opts,
+		db:       libdetect.NewFeatureDB(opts.LibraryMinApps, opts.LibraryMinDevelopers),
+		preparer: libdetect.NewDetector(nil, nil),
+		scanner:  avscan.NewScanner(opts.ScannerSeed, opts.Engines),
+		scans:    map[string]*avscan.Report{},
 	}
 }
 
@@ -93,11 +100,16 @@ func (st *IngestState) Append(prev *Dataset, crawlTime time.Time, records []appm
 	// Parse only the delta; previously ingested listings are never re-parsed.
 	// One backing array serves the whole batch — later epochs copy an App out
 	// of it if and only if its detections change, exactly as with individual
-	// allocations.
+	// allocations. Each parse is followed by the archive-pure half of library
+	// detection, which every later epoch reuses.
 	backing := make([]App, len(records))
 	fresh := make([]*App, len(records))
 	pipeline.ForEach(len(records), workers, func(i int) {
-		fresh[i] = parseListingInto(&backing[i], records[i], apkOf)
+		app := parseListingInto(&backing[i], records[i], apkOf)
+		if app.HasAPK() {
+			app.prepared = st.preparer.Prepare(app.Parsed.Dex, app.Meta.Package)
+		}
+		fresh[i] = app
 	})
 
 	// Learn copy-on-write: a fresh DB absorbs the previous observations
@@ -107,15 +119,16 @@ func (st *IngestState) Append(prev *Dataset, crawlTime time.Time, records []appm
 	db.Merge(st.db)
 	for _, app := range fresh {
 		if app.HasAPK() {
-			db.Observe(app.Parsed.Dex, app.Meta.Package, app.Parsed.Developer())
+			db.ObservePrepared(app.prepared, app.Parsed.Developer())
 		}
 	}
 	st.db = db
-	detector := libdetect.NewDetector(nil, db)
+	detector := libdetect.NewDetector(st.preparer.Catalog(), db)
 
-	// Re-detect every previously ingested listing against the grown DB.
-	// Unchanged detections keep the old *App; changed ones get a shallow
-	// copy (Parsed, AVReport and PermUsage are archive-pure and shared).
+	// Re-resolve every previously ingested listing's cached candidates
+	// against the grown DB. Unchanged detections keep the old *App; changed
+	// ones get a shallow copy (Parsed, AVReport, PermUsage and the prepared
+	// candidates are archive-pure and shared).
 	var prevApps []*App
 	if prev != nil {
 		prevApps = prev.Apps
@@ -127,13 +140,18 @@ func (st *IngestState) Append(prev *Dataset, crawlTime time.Time, records []appm
 			olds[i] = old
 			return
 		}
-		libs := detector.Detect(old.Parsed.Dex, old.Meta.Package)
+		prepared := old.prepared
+		if prepared == nil {
+			prepared = st.preparer.Prepare(old.Parsed.Dex, old.Meta.Package)
+		}
+		libs := detector.Resolve(prepared)
 		if detectionsEqual(libs, old.Libraries) {
 			olds[i] = old
 			return
 		}
 		cp := *old
 		cp.Libraries = libs
+		cp.prepared = prepared
 		olds[i] = &cp
 	})
 	for i := range olds {
@@ -152,7 +170,7 @@ func (st *IngestState) Append(prev *Dataset, crawlTime time.Time, records []appm
 		if !app.HasAPK() {
 			return
 		}
-		app.Libraries = detector.Detect(app.Parsed.Dex, app.Meta.Package)
+		app.Libraries = detector.Resolve(app.prepared)
 		if report, ok := st.scans[app.Parsed.SHA256]; ok {
 			app.AVReport = report
 		} else {

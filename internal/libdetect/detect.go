@@ -51,21 +51,33 @@ const (
 // made by classes under that prefix. Renaming packages or classes does not
 // change the feature; changing behaviour does.
 func FeatureOf(code *dex.File, prefix string) (string, int) {
+	feature, classes, _, _ := prefixFeature(code, prefix, nil)
+	return feature, classes
+}
+
+// prefixFeature is FeatureOf plus the by-products of the same pass over the
+// prefix's classes: the total number of API references (the Observe gate)
+// and whether any class is absent from matched (the clustering gate; with a
+// nil matched set every class counts as unmatched).
+func prefixFeature(code *dex.File, prefix string, matched map[string]bool) (feature string, classes, apis int, unmatched bool) {
 	apiCounts := map[string]int{}
-	classes := 0
 	for _, c := range code.Classes {
 		if !dex.UnderPrefix(c.Name, prefix) {
 			continue
 		}
 		classes++
+		if !matched[c.Name] {
+			unmatched = true
+		}
 		for _, m := range c.Methods {
+			apis += len(m.APICalls)
 			for _, call := range m.APICalls {
 				apiCounts[call]++
 			}
 		}
 	}
 	if classes == 0 {
-		return "", 0
+		return "", 0, 0, false
 	}
 	calls := make([]string, 0, len(apiCounts))
 	for call := range apiCounts {
@@ -81,7 +93,7 @@ func FeatureOf(code *dex.File, prefix string) (string, int) {
 		binary.LittleEndian.PutUint32(buf[:], uint32(apiCounts[call]))
 		h.Write(buf[:])
 	}
-	return hex.EncodeToString(h.Sum(nil)), classes
+	return hex.EncodeToString(h.Sum(nil)), classes, apis, unmatched
 }
 
 // candidatePrefixes returns the package prefixes of an app worth considering
@@ -107,6 +119,36 @@ func candidatePrefixes(code *dex.File, ownPackage string) []string {
 		out = append(out, p)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// candidate is one candidate prefix of an app with everything the feature
+// database and the clustering pass need to know about it.
+type candidate struct {
+	prefix  string
+	feature string
+	classes int
+	// apis is the number of API references under the prefix; prefixes below
+	// minFeatureAPIs are not learned as features.
+	apis int
+	// unmatched reports whether some class under the prefix escaped the
+	// catalog pass; only such prefixes are clustered.
+	unmatched bool
+}
+
+// prepareCandidates hashes every candidate prefix that owns at least one
+// class, in prefix order. matched holds the classes the catalog pass
+// explained (nil when only the feature database consumes the result).
+func prepareCandidates(code *dex.File, ownPackage string, matched map[string]bool) []candidate {
+	prefixes := candidatePrefixes(code, ownPackage)
+	out := make([]candidate, 0, len(prefixes))
+	for _, prefix := range prefixes {
+		c := candidate{prefix: prefix}
+		c.feature, c.classes, c.apis, c.unmatched = prefixFeature(code, prefix, matched)
+		if c.classes > 0 {
+			out = append(out, c)
+		}
+	}
 	return out
 }
 
@@ -151,22 +193,25 @@ func NewFeatureDB(minApps, minDevelopers int) *FeatureDB {
 // Observe adds one app's candidate prefixes to the database. ownPackage is
 // the app's manifest package; developer is its signing identity.
 func (db *FeatureDB) Observe(code *dex.File, ownPackage string, developer signing.Fingerprint) {
-	for _, prefix := range candidatePrefixes(code, ownPackage) {
-		feature, classes := FeatureOf(code, prefix)
-		if feature == "" || classes == 0 {
+	db.ObservePrepared(&Prepared{candidates: prepareCandidates(code, ownPackage, nil)}, developer)
+}
+
+// ObservePrepared is Observe over an app's already prepared candidates
+// (Detector.Prepare), so enrichment hashes each (archive, prefix) pair once
+// for both learning and detection.
+func (db *FeatureDB) ObservePrepared(p *Prepared, developer signing.Fingerprint) {
+	for _, c := range p.candidates {
+		if c.apis < minFeatureAPIs {
 			continue
 		}
-		if countAPIs(code, prefix) < minFeatureAPIs {
-			continue
-		}
-		st, ok := db.features[feature]
+		st, ok := db.features[c.feature]
 		if !ok {
 			st = &featureStats{developers: make(map[signing.Fingerprint]bool), prefixes: make(map[string]int)}
-			db.features[feature] = st
+			db.features[c.feature] = st
 		}
 		st.apps++
 		st.developers[developer] = true
-		st.prefixes[prefix]++
+		st.prefixes[c.prefix]++
 	}
 }
 
@@ -193,16 +238,6 @@ func (db *FeatureDB) Merge(other *FeatureDB) {
 			dst.prefixes[prefix] += n
 		}
 	}
-}
-
-func countAPIs(code *dex.File, prefix string) int {
-	n := 0
-	for _, c := range code.ClassesUnderPrefix(prefix) {
-		for _, m := range c.Methods {
-			n += len(m.APICalls)
-		}
-	}
-	return n
 }
 
 // IsLibraryFeature reports whether the feature hash has been observed widely
@@ -248,9 +283,10 @@ func (db *FeatureDB) NumLibraries() int {
 }
 
 // Detector combines the labeled catalog with an optional learned feature
-// database. Once built it is read-only: Detect and LibraryPrefixesIn are safe
-// to call from concurrent enrichment workers (the feature database must not
-// receive further Observe/Merge calls while detections run).
+// database. Once built it is read-only: Detect, Prepare, Resolve and
+// LibraryPrefixesIn are safe to call from concurrent enrichment workers (the
+// feature database must not receive further Observe/Merge calls while
+// detections run).
 type Detector struct {
 	catalog *Catalog
 	db      *FeatureDB
@@ -268,7 +304,8 @@ func NewDetector(catalog *Catalog, db *FeatureDB) *Detector {
 // Catalog returns the detector's catalog.
 func (d *Detector) Catalog() *Catalog { return d.catalog }
 
-// Detect returns the third-party libraries embedded in the app.
+// Detect returns the third-party libraries embedded in the app; it is
+// Resolve(Prepare(code, ownPackage)).
 //
 // Detection proceeds in two passes. The first matches every non-host class
 // against the labeled catalog by package name (longest catalog prefix wins),
@@ -277,8 +314,25 @@ func (d *Detector) Catalog() *Catalog { return d.catalog }
 // prefixes through the learned feature database, which catches renamed copies
 // of known libraries and recurring unlabeled libraries.
 func (d *Detector) Detect(code *dex.File, ownPackage string) []Detection {
-	var out []Detection
+	return d.Resolve(d.Prepare(code, ownPackage))
+}
 
+// Prepared is the archive-pure half of one app's detection: the catalog
+// pass's matches and every clustering candidate with its feature hash. It
+// depends on the app's code and the detector's catalog only, never on the
+// feature database, so it is computed once per app and resolved again under
+// every later database. Immutable once built; safe to share.
+type Prepared struct {
+	// catalog holds the catalog pass's matches, Feature filled, in prefix
+	// order.
+	catalog    []Detection
+	candidates []candidate
+}
+
+// Prepare does all of Detect's work that reads the app but not the feature
+// database: the catalog pass and the hashing of every candidate prefix.
+// The result may be resolved by any detector sharing this one's catalog.
+func (d *Detector) Prepare(code *dex.File, ownPackage string) *Prepared {
 	// Pass 1: catalog matches by class package.
 	byCatalogPrefix := map[string]*Detection{}
 	matchedClasses := map[string]bool{}
@@ -298,38 +352,34 @@ func (d *Detector) Detect(code *dex.File, ownPackage string) []Detection {
 		det.Classes++
 		matchedClasses[c.Name] = true
 	}
-	seenPrefix := map[string]bool{}
+	p := &Prepared{catalog: make([]Detection, 0, len(byCatalogPrefix))}
 	for _, det := range byCatalogPrefix {
 		det.Feature, _ = FeatureOf(code, det.Prefix)
-		seenPrefix[det.Library.Prefix] = true
-		out = append(out, *det)
+		p.catalog = append(p.catalog, *det)
 	}
+	sort.Slice(p.catalog, func(i, j int) bool { return p.catalog[i].Prefix < p.catalog[j].Prefix })
+	p.candidates = prepareCandidates(code, ownPackage, matchedClasses)
+	return p
+}
+
+// Resolve does Detect's database-dependent half over prepared candidates:
+// the library-feature threshold, the canonical-prefix lookup, the dedup
+// against already resolved libraries and the covered-prefix filter. The
+// result equals Detect on the code p was prepared from.
+func (d *Detector) Resolve(p *Prepared) []Detection {
+	out := append([]Detection(nil), p.catalog...)
 
 	// Pass 2: clustering over the candidate prefixes not already explained
 	// by the catalog.
-	for _, prefix := range candidatePrefixes(code, ownPackage) {
-		classes := code.ClassesUnderPrefix(prefix)
-		if len(classes) == 0 {
-			continue
-		}
-		unmatched := 0
-		for _, c := range classes {
-			if !matchedClasses[c.Name] {
-				unmatched++
-			}
-		}
-		if unmatched == 0 {
-			continue
-		}
-		feature, classCount := FeatureOf(code, prefix)
-		if d.db == nil || !d.db.IsLibraryFeature(feature) {
+	for _, c := range p.candidates {
+		if !c.unmatched || d.db == nil || !d.db.IsLibraryFeature(c.feature) {
 			continue
 		}
 		// Cluster-learned library: try to resolve its canonical prefix to a
 		// catalog entry (handles obfuscated copies of known libraries).
-		det := Detection{Prefix: prefix, Classes: classCount, Feature: feature,
-			Library: Library{Prefix: prefix, Name: "unknown"}}
-		if canonical, ok := d.db.CanonicalPrefix(feature); ok {
+		det := Detection{Prefix: c.prefix, Classes: c.classes, Feature: c.feature,
+			Library: Library{Prefix: c.prefix, Name: "unknown"}}
+		if canonical, ok := d.db.CanonicalPrefix(c.feature); ok {
 			if lib, ok := d.catalog.Match(canonical); ok {
 				det.Library = lib
 				det.Known = true
@@ -337,11 +387,8 @@ func (d *Detector) Detect(code *dex.File, ownPackage string) []Detection {
 				det.Library = Library{Prefix: canonical, Name: "unknown"}
 			}
 		}
-		if det.Known && seenPrefix[det.Library.Prefix] {
+		if det.Known && resolvedLibrary(out, det.Library.Prefix) {
 			continue
-		}
-		if det.Known {
-			seenPrefix[det.Library.Prefix] = true
 		}
 		out = append(out, det)
 	}
@@ -369,6 +416,17 @@ func (d *Detector) Detect(code *dex.File, ownPackage string) []Detection {
 	out = filtered
 	sort.Slice(out, func(i, j int) bool { return out[i].Prefix < out[j].Prefix })
 	return out
+}
+
+// resolvedLibrary reports whether dets already holds a catalog-resolved
+// detection of the library with the given catalog prefix.
+func resolvedLibrary(dets []Detection, libPrefix string) bool {
+	for _, det := range dets {
+		if det.Known && det.Library.Prefix == libPrefix {
+			return true
+		}
+	}
+	return false
 }
 
 // LibraryPrefixesIn returns the in-app package prefixes occupied by detected
